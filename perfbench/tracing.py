@@ -272,10 +272,10 @@ def _patch_function(tracer, module, attr, name):
 
 
 def _spawn_layer(tracer: Tracer, gen) -> int:
-    filename = getattr(getattr(gen, "gi_code", None), "co_filename", "")
-    parts = filename.replace("\\", "/").split("/")
-    if "repro" in parts:
-        package = parts[parts.index("repro") + 1]
+    frame = getattr(gen, "gi_frame", None)
+    module = frame.f_globals.get("__name__", "") if frame else ""
+    if module.startswith("repro."):
+        package = module.split(".")[1]
         return tracer.name_id(_SPAWN_LAYER.get(package, "other"))
     return tracer.name_id(_ROOT)
 
