@@ -775,7 +775,9 @@ def _scalar_alu(base: str, a: Scalar, b: Scalar, is32: bool) -> Scalar:
             else:
                 result = Scalar(0, b.const - 1)
     elif base == "arsh":
-        if a.umax < 2**63 and b.const is not None:
+        # Only a value whose sign bit (bit 31 or 63) is clear shifts like
+        # a logical shift; otherwise the result fills with ones.
+        if a.umax < 2**(31 if is32 else 63) and b.const is not None:
             shift = b.const & (31 if is32 else 63)
             result = Scalar(a.umin >> shift, a.umax >> shift)
 

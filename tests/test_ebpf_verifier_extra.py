@@ -231,6 +231,34 @@ def test_scalar_alu_32bit_clamps():
     assert result.umax <= 2**32 - 1
 
 
+def test_scalar_alu_arsh32_uses_the_32bit_sign_bit():
+    # 0x80000010 has bit 31 set: as a 32-bit value it is negative, so an
+    # arithmetic shift fills with ones and the range is not [c >> s].
+    result = _scalar_alu("arsh", Scalar(0x80000010, 0x80000010),
+                         Scalar(28, 28), is32=True)
+    assert (result.umin, result.umax) == (0, 2**32 - 1)
+    result = _scalar_alu("arsh", Scalar(16, 2**31 - 1), Scalar(4, 4),
+                         is32=True)
+    assert (result.umin, result.umax) == (1, 2**27 - 1)
+
+
+def test_arsh32_of_negative_value_cannot_index_memory():
+    # arsh32 turns 0x80000010 into 0xfffffff8, not 8: the load would
+    # read data at offset 4294967288, so the program must be rejected.
+    reject(
+        """
+        ldxdw r2, [r1+0]
+        mov32 r3, 0x80000010
+        arsh32 r3, 28
+        add   r2, r3
+        ldxb  r0, [r2+0]
+        mov r0, 0
+        exit
+        """,
+        "unbounded",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Builder DSL errors
 # ---------------------------------------------------------------------------
