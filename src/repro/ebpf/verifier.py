@@ -21,6 +21,16 @@ The scalar domain tracks unsigned ranges ``[umin, umax]``; branch outcomes
 refine ranges along each edge, which is what lets bounded loops such as a
 B-tree node's bounded binary search verify while an unbounded walk is
 rejected by budget exhaustion.
+
+Exploration prunes the way Linux does.  A backward dataflow pass computes
+which registers are live at each pc; a state entering a *prune point*
+(pc 0, a jump target, the fall-through of a conditional jump, the
+instruction after a call) has its dead registers forgotten, and only
+there is it compared against completed states (pruning) and against the
+states on the current path (infinite-loop detection).  Every other
+instruction is stepped straight through, still counting towards the
+state budget.  Comparisons only ever see registers that can still reach
+a check, so a value left behind in a dead temp never splits states.
 """
 
 from __future__ import annotations
@@ -136,7 +146,11 @@ def _initial_state(ctx_size: int) -> State:
 
 @dataclass
 class VerifierStats:
-    """Bookkeeping returned on success."""
+    """Bookkeeping returned on success.
+
+    ``max_states_per_insn`` is the deepest stack of in-progress states at
+    one prune point (a loop head holds one per unrolled iteration).
+    """
 
     states_explored: int = 0
     max_states_per_insn: int = 0
@@ -153,16 +167,21 @@ class Verifier:
         self.maps = maps or {}
         self.state_budget = state_budget
         self.stats = VerifierStats()
-        # Fully explored states per pc: safe to prune against (that
-        # exploration provably reached exit on every path).  Exact
+        # Fully explored states per prune point: safe to prune against
+        # (that exploration provably reached exit on every path).  Exact
         # duplicates are pruned through the signature set in O(1); the
         # subsumption scan is capped to recent states to keep verification
         # time linear on long bounded loops.
         self._completed: Dict[int, List[State]] = {}
         self._completed_sigs: Dict[int, set] = {}
-        # States on the current DFS path per pc: matching one of these means
-        # a loop iteration made no progress -> infinite loop.
+        # States on the current DFS path per prune point: matching one of
+        # these means a loop iteration made no progress -> infinite loop.
         self._in_progress: Dict[int, List[State]] = {}
+        # The register that last made a subsumption check fail; checked
+        # first, since consecutive comparisons tend to fail on the same one.
+        self._fail_reg = 0
+        # Per pc: registers dead on entry (None unless a prune point).
+        self._dead_at: List[Optional[Tuple[int, ...]]] = []
 
     _SUBSUME_SCAN_LIMIT = 32
 
@@ -171,61 +190,119 @@ class Verifier:
     def run(self) -> VerifierStats:
         """Depth-first exploration with kernel-style loop detection.
 
-        A state subsumed by a *completed* state at the same pc is pruned
+        At a prune point, a state subsumed by a *completed* state is pruned
         (that more-general exploration already terminated safely).  A state
         subsumed by an *ancestor on the current path* is an infinite loop and
         is rejected — pruning against an ancestor would wrongly certify
-        termination.
+        termination.  Between prune points a state is stepped straight
+        through.
         """
-        insns = self.program.instructions
         self._check_jump_targets()
-
+        self._dead_at = _dead_at_prune_points(self.program.instructions,
+                                              self.helpers)
+        start = self._forget_dead(
+            0, _initial_state(self.program.ctx_layout.size))
         # Explicit DFS frames: [pc, state, successors or None, next index].
-        frames: List[list] = [
-            [0, _initial_state(self.program.ctx_layout.size), None, 0]
-        ]
+        frames: List[list] = [[0, start, None, 0]]
         while frames:
             frame = frames[-1]
             pc, state, successors, index = frame
             if successors is None:
                 for ancestor in self._in_progress.get(pc, ()):
-                    if _subsumes(ancestor, state):
+                    if self._subsumes(ancestor, state):
                         raise VerifierError("infinite loop detected", pc)
                 if state.signature() in self._completed_sigs.get(pc, ()):
                     frames.pop()
                     continue
                 recent = self._completed.get(pc, ())
-                if any(_subsumes(old, state)
+                if any(self._subsumes(old, state)
                        for old in recent[-self._SUBSUME_SCAN_LIMIT:]):
                     frames.pop()
                     continue
-                self.stats.states_explored += 1
-                if self.stats.states_explored > self.state_budget:
-                    raise VerifierError(
-                        "state budget exhausted — program too complex or "
-                        "contains a loop the verifier cannot bound", pc)
-                successors = self._step(pc, state)
-                for next_pc, _next_state in successors:
-                    if next_pc >= len(insns):
-                        raise VerifierError(
-                            "control falls off the program end", pc)
+                successors = self._step_to_prune_points(pc, state)
                 frame[2] = successors
-                self._in_progress.setdefault(pc, []).append(state)
-                depth = len(self._in_progress[pc])
-                if depth > self.stats.max_states_per_insn:
-                    self.stats.max_states_per_insn = depth
-            if frame[3] < len(frame[2]):
-                next_pc, next_state = frame[2][frame[3]]
-                frame[3] += 1
+                in_progress = self._in_progress.setdefault(pc, [])
+                in_progress.append(state)
+                if len(in_progress) > self.stats.max_states_per_insn:
+                    self.stats.max_states_per_insn = len(in_progress)
+            if index < len(successors):
+                next_pc, next_state = successors[index]
+                frame[3] = index + 1
                 frames.append([next_pc, next_state, None, 0])
             else:
-                self._in_progress[pc].remove(state)
+                # DFS order: the finished state is the newest in progress.
+                self._in_progress[pc].pop()
                 self._completed.setdefault(pc, []).append(state)
                 self._completed_sigs.setdefault(pc, set()).add(
                     state.signature())
                 frames.pop()
         self.program.verified = True
         return self.stats
+
+    def _step_to_prune_points(self, pc: int,
+                              state: State) -> List[Tuple[int, State]]:
+        """Step from ``pc`` until every path reaches a prune point or exit.
+
+        Returns the successor states, each entering its prune point with
+        its dead registers forgotten.
+        """
+        end = len(self.program.instructions)
+        dead_at = self._dead_at
+        while True:
+            self.stats.states_explored += 1
+            if self.stats.states_explored > self.state_budget:
+                raise VerifierError(
+                    "state budget exhausted — program too complex or "
+                    "contains a loop the verifier cannot bound", pc)
+            successors = self._step(pc, state)
+            for next_pc, _next_state in successors:
+                if next_pc >= end:
+                    raise VerifierError(
+                        "control falls off the program end", pc)
+            if len(successors) != 1 or dead_at[successors[0][0]] is not None:
+                return [(next_pc, self._forget_dead(next_pc, next_state))
+                        for next_pc, next_state in successors]
+            pc, state = successors[0]
+
+    def _forget_dead(self, pc: int, state: State) -> State:
+        """``state`` with the registers dead at prune point ``pc`` unset."""
+        regs = state.regs
+        dead = [reg for reg in self._dead_at[pc] if regs[reg] is not NOT_INIT]
+        if not dead:
+            return state
+        regs = list(regs)
+        for reg in dead:
+            regs[reg] = NOT_INIT
+        return State(tuple(regs), state.stack)
+
+    def _subsumes(self, old: State, new: State) -> bool:
+        """True if having verified ``old`` covers ``new``."""
+        old_regs, new_regs = old.regs, new.regs
+        if old_regs is not new_regs:
+            first = self._fail_reg
+            if not _value_subsumes(old_regs[first], new_regs[first]):
+                return False
+            for reg in range(_NUM_REGS):
+                old_val = old_regs[reg]
+                new_val = new_regs[reg]
+                if old_val is not new_val and \
+                        not _value_subsumes(old_val, new_val):
+                    self._fail_reg = reg
+                    return False
+        if old.stack is new.stack:
+            return True
+        # Old must have been verified with *less* stack knowledge.
+        new_stack = new.stack
+        for slot, entry in old.stack.items():
+            new_entry = new_stack.get(slot)
+            if new_entry is None or new_entry[0] != entry[0]:
+                return False
+            if entry[0] == "ptr":
+                if not _value_subsumes(entry[1], new_entry[1]):
+                    return False
+            elif not entry[1] <= new_entry[1]:
+                return False
+        return True
 
     def _check_jump_targets(self) -> None:
         insns = self.program.instructions
@@ -265,8 +342,7 @@ class Verifier:
             return [(pc + 1, state.with_reg(insn.dst, Scalar(value, value)))]
 
         base = op[:-2] if op.endswith("32") else op
-        if base in ("add", "sub", "mul", "div", "mod", "or", "and", "xor",
-                    "lsh", "rsh", "arsh", "mov", "neg"):
+        if base in _ALU_BASES:
             return [(pc + 1, self._check_alu(pc, state, insn, base,
                                              op.endswith("32")))]
 
@@ -884,35 +960,110 @@ _JMP_REFINERS = {
 
 def _value_subsumes(old, new) -> bool:
     """True if having verified ``old`` covers ``new`` (old is more general)."""
-    if old is NOT_INIT:
+    if old is new or old is NOT_INIT:
         return True  # verified without knowing the register at all
-    if new is NOT_INIT:
+    if new is NOT_INIT or type(old) is not type(new):
         return False
-    if isinstance(old, Scalar) and isinstance(new, Scalar):
+    if type(old) is Scalar:
         return old.umin <= new.umin and old.umax >= new.umax
-    if isinstance(old, Ptr) and isinstance(new, Ptr):
-        return (old.region == new.region and old.size == new.size and
-                old.off_min <= new.off_min and old.off_max >= new.off_max and
-                (old.maybe_null or not new.maybe_null))
-    return False
+    return (old.region == new.region and old.size == new.size and
+            old.off_min <= new.off_min and old.off_max >= new.off_max and
+            (old.maybe_null or not new.maybe_null))
 
 
-def _subsumes(old: State, new: State) -> bool:
-    for old_val, new_val in zip(old.regs, new.regs):
-        if not _value_subsumes(old_val, new_val):
-            return False
-    # Old must have been verified with *less* stack knowledge.
-    for slot, entry in old.stack.items():
-        new_entry = new.stack.get(slot)
-        if entry[0] == "ptr":
-            if new_entry is None or new_entry[0] != "ptr" or \
-                    not _value_subsumes(entry[1], new_entry[1]):
-                return False
+# ---------------------------------------------------------------------------
+# Static analysis: prune points and register liveness
+# ---------------------------------------------------------------------------
+
+_NUM_REGS = FP_REG + 1
+_ALL_REGS = (1 << _NUM_REGS) - 1
+_ALU_BASES = frozenset(("add", "sub", "mul", "div", "mod", "or", "and",
+                        "xor", "lsh", "rsh", "arsh", "mov", "neg"))
+
+
+def _use_def(insn, helpers: HelperRegistry) -> Tuple[int, int]:
+    """Bitmasks of the registers ``insn`` reads and writes.
+
+    Mirrors the reads :meth:`Verifier._step` makes, so a register outside
+    the live set can never be the cause of a check failing.
+    """
+    op = insn.opcode
+    dst, src = 1 << insn.dst, (1 << insn.src) if insn.src_is_reg else 0
+    if op == "exit":
+        return 1, 0
+    if op == "call":
+        try:
+            nargs = len(helpers.spec(insn.imm).args)
+        except Exception:
+            nargs = 5  # rejected at the call anyway
+        return ((1 << (nargs + 1)) - 2), 0b111111
+    if op == "ja":
+        return 0, 0
+    if op == "lddw":
+        return 0, dst
+    base = op[:-2] if op.endswith("32") else op
+    if base in _ALU_BASES:
+        if base == "mov":
+            return src, dst
+        if base == "neg":
+            return dst, dst
+        return dst | src, dst
+    if op in _JMP_REFINERS or op == "jset":
+        return dst | src, 0
+    if op.startswith("ldx"):
+        return 1 << insn.src, dst
+    if op.startswith("stx"):
+        return dst | (1 << insn.src), 0
+    if op.startswith("st"):
+        return dst, 0
+    return _ALL_REGS, 0  # unknown opcode: rejected when reached
+
+
+def _dead_at_prune_points(insns, helpers: HelperRegistry
+                          ) -> List[Optional[Tuple[int, ...]]]:
+    """Per pc, the registers dead on entry if it is a prune point, else None.
+
+    Prune points are pc 0, jump targets, conditional-jump fall-throughs and
+    the instruction after a call.  Liveness is a backward dataflow over the
+    CFG: live-in = uses | (live-out & ~defs); r10 is always live.
+    """
+    count = len(insns)
+    uses, defs, succs = [], [], []
+    prune = [False] * count
+    prune[0] = True
+    for pc, insn in enumerate(insns):
+        use, define = _use_def(insn, helpers)
+        uses.append(use)
+        defs.append(define)
+        op = insn.opcode
+        if op == "exit":
+            nexts = ()
+        elif op == "ja":
+            nexts = (pc + 1 + insn.offset,)
+        elif op in _JMP_REFINERS or op == "jset":
+            nexts = (pc + 1 + insn.offset, pc + 1)
         else:
-            if new_entry is None or new_entry[0] != "bytes" or \
-                    not entry[1] <= new_entry[1]:
-                return False
-    return True
+            nexts = (pc + 1,)
+        if op == "ja" or op == "call" or len(nexts) == 2:
+            for target in nexts:
+                if target < count:
+                    prune[target] = True
+        succs.append(tuple(target for target in nexts if target < count))
+
+    live = [0] * count
+    changed = True
+    while changed:
+        changed = False
+        for pc in range(count - 1, -1, -1):
+            out = 0
+            for target in succs[pc]:
+                out |= live[target]
+            live_in = uses[pc] | (out & ~defs[pc]) | (1 << FP_REG)
+            if live_in != live[pc]:
+                live[pc] = live_in
+                changed = True
+    return [tuple(reg for reg in range(_NUM_REGS) if not live[pc] >> reg & 1)
+            if prune[pc] else None for pc in range(count)]
 
 
 def verify(program: Program, helpers: HelperRegistry,

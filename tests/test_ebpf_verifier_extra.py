@@ -14,7 +14,7 @@ from repro.ebpf import (
     base_registry,
     verify,
 )
-from repro.ebpf.verifier import Scalar, _scalar_alu
+from repro.ebpf.verifier import Scalar, _dead_at_prune_points, _scalar_alu
 
 HELPERS = base_registry()
 LAYOUT = CtxLayout(
@@ -185,6 +185,32 @@ def test_diamond_rejoin_prunes_to_linear_states():
     stats = verify(program, HELPERS, state_budget=20_000)
     # Without completed-state pruning this would be ~2^24 states.
     assert stats.states_explored < 2000
+
+
+def test_liveness_at_prune_points():
+    # Prune points: pc 0, the jgt fall-through (2) and target (4), the ja
+    # target (5) and the instruction after the call (7).
+    source = """
+        ldxdw r6, [r1+8]
+        jgt   r6, 4, big
+        mov   r7, 1
+        ja    out
+    big:
+        mov   r7, 2
+    out:
+        mov   r1, r7
+        call  trace
+        mov   r0, r6
+        exit
+    """
+    program = Program(assemble(source, HELPERS.names()), LAYOUT)
+    live = {0: {1}, 2: {6}, 4: {6}, 5: {6, 7}, 7: {6}}
+    dead = _dead_at_prune_points(program.instructions, HELPERS)
+    assert [pc for pc, regs in enumerate(dead) if regs is not None] == \
+        sorted(live)
+    for pc, regs in live.items():
+        assert set(dead[pc]) == set(range(10)) - regs
+    verify(program, HELPERS)
 
 
 def test_loop_with_distinct_states_not_falsely_pruned():
