@@ -960,8 +960,10 @@ _JMP_REFINERS = {
 
 def _value_subsumes(old, new) -> bool:
     """True if having verified ``old`` covers ``new`` (old is more general)."""
-    if old is new or old is NOT_INIT:
+    if old is NOT_INIT:
         return True  # verified without knowing the register at all
+    if old is new:
+        return True
     if new is NOT_INIT or type(old) is not type(new):
         return False
     if type(old) is Scalar:
